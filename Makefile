@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-quick bench-smoke scale-smoke chaos-smoke telemetry-smoke resilience-smoke overload-smoke autoscale-smoke scenario-smoke fuzz-smoke serve-smoke examples figures clean
+.PHONY: install test test-fast bench bench-quick bench-smoke scale-smoke chaos-smoke telemetry-smoke resilience-smoke overload-smoke autoscale-smoke scenario-smoke fuzz-smoke serve-smoke perf-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -103,6 +103,15 @@ fuzz-smoke:
 serve-smoke:
 	timeout -k 5 20 $(PYTHON) -m repro serve --port 0 --time-limit 2
 	timeout -k 10 55 $(PYTHON) -m repro drive --quick --seed 0
+
+# Benchmark smoke (<60s): the benchmark's own tests (not collected by
+# tier-1), then one short untraced hardened run. The run exits nonzero
+# on any digest mismatch against perfbench/digests.json, so a change
+# that breaks bit-identity on the hardened path (hedging, retries,
+# overload, dispatcher tier, chaos) fails here.
+perf-smoke:
+	$(PYTHON) -m pytest perfbench -q
+	$(PYTHON) perfbench/run.py --workload hardened --seed 0 --seconds 5 --trace 0
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -19,7 +19,12 @@ deterministic state machine the cluster consults on every attempt:
   of observed response times dispatches a second copy of the request to
   a different server; the first response wins and the loser is
   cancelled through the existing duplicate-suppression guards
-  (``Request.done`` / ``queued_at``);
+  (``Request.done`` / ``queued_at``). The observation window is kept
+  sorted as responses arrive (a deque for eviction order beside a
+  sorted list: O(log W) insert, O(W) memmove evict), so arming a hedge
+  reads two neighbours of the sorted window with numpy's ``linear``
+  quantile formula — bit-identical to numpy, with no per-dispatch
+  array call;
 - **per-server circuit breakers** — consecutive timeouts/losses eject a
   server from the candidate set (composing with the availability
   subsystem's soft-state expiry, which is much slower than a breaker),
@@ -40,10 +45,11 @@ seed under both event engines (the parity suite covers one).
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
-
-import numpy as np
 
 from repro.cluster.request import Request
 from repro.net.message import MessageKind
@@ -58,6 +64,11 @@ __all__ = ["ReliabilityPolicy", "CircuitBreaker", "ReliabilityEngine"]
 #: is (numerically) exhausted still gets a well-formed timer; the retry
 #: path then fails it fast on the deadline check
 _MIN_ATTEMPT_TIMEOUT = 1e-6
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer (numpy ints included, bools not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -107,23 +118,29 @@ class ReliabilityPolicy:
     breaker_cooldown: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.deadline is not None and self.deadline <= 0:
+        # Comparisons are written so that NaN fails them: every bound
+        # below rejects NaN with the offending field named.
+        for name in ("hedge_min_samples", "hedge_window"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.deadline is not None and not self.deadline > 0:
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
-        if self.backoff_base < 0:
+        if not self.backoff_base >= 0:
             raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_mult < 1.0:
+        if not self.backoff_mult >= 1.0:
             raise ValueError(f"backoff_mult must be >= 1, got {self.backoff_mult}")
-        if self.backoff_cap <= 0:
+        if not self.backoff_cap > 0:
             raise ValueError(f"backoff_cap must be > 0, got {self.backoff_cap}")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ValueError(
                 f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
             )
-        if self.retry_budget is not None and self.retry_budget < 1:
+        if self.retry_budget is not None and not self.retry_budget >= 1:
             raise ValueError(
                 f"retry_budget must be >= 1 or None, got {self.retry_budget}"
             )
-        if self.retry_budget_refill <= 0:
+        if not self.retry_budget_refill > 0:
             raise ValueError(
                 f"retry_budget_refill must be > 0, got {self.retry_budget_refill}"
             )
@@ -140,11 +157,12 @@ class ReliabilityPolicy:
                 "hedge_window must be >= hedge_min_samples, got "
                 f"{self.hedge_window} < {self.hedge_min_samples}"
             )
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
+        threshold = self.breaker_threshold
+        if threshold is not None and not (_is_int(threshold) and threshold >= 1):
             raise ValueError(
-                f"breaker_threshold must be >= 1 or None, got {self.breaker_threshold}"
+                f"breaker_threshold must be an integer >= 1 or None, got {threshold!r}"
             )
-        if self.breaker_cooldown <= 0:
+        if not self.breaker_cooldown > 0:
             raise ValueError(
                 f"breaker_cooldown must be > 0, got {self.breaker_cooldown}"
             )
@@ -262,11 +280,11 @@ class ReliabilityEngine:
                 )
                 for server in cluster.servers
             }
-        # Ring buffer of observed (successful) response times feeding
-        # the hedge-delay quantile.
-        self._observed = np.empty(policy.hedge_window, dtype=np.float64)
-        self._n_observed = 0
-        self._observed_cursor = 0
+        # The last ``hedge_window`` observed (successful) response times
+        # feeding the hedge-delay quantile: in arrival order (eviction)
+        # and kept sorted (the quantile reads two neighbours).
+        self._observed: deque[float] = deque()
+        self._observed_sorted: list[float] = []
 
         # Counters (surfaced through resilience_counters / telemetry).
         self.hedges_launched = 0
@@ -517,19 +535,34 @@ class ReliabilityEngine:
     def _observe(self, response_time: float) -> None:
         if not math.isfinite(response_time):
             return
-        self._observed[self._observed_cursor] = response_time
-        self._observed_cursor = (self._observed_cursor + 1) % self.policy.hedge_window
-        if self._n_observed < self.policy.hedge_window:
-            self._n_observed += 1
+        window = self._observed
+        ordered = self._observed_sorted
+        if len(window) == self.policy.hedge_window:
+            del ordered[bisect_left(ordered, window.popleft())]
+        window.append(response_time)
+        insort(ordered, response_time)
 
     def _hedge_delay(self) -> Optional[float]:
-        """The hedge timer delay, or None while observations are scarce."""
-        if self._n_observed < self.policy.hedge_min_samples:
+        """The hedge timer delay, or None while observations are scarce.
+
+        numpy's default (``linear``) quantile of the window, computed
+        with numpy's own formula on the sorted window so the result is
+        bit-identical to numpy's without its per-call overhead.
+        """
+        ordered = self._observed_sorted
+        n = len(ordered)
+        if n < self.policy.hedge_min_samples:
             return None
-        assert self.policy.hedge_quantile is not None
-        return float(
-            np.quantile(self._observed[: self._n_observed], self.policy.hedge_quantile)
-        )
+        q = self.policy.hedge_quantile
+        assert q is not None
+        v = (n - 1) * q
+        if v >= n - 1:
+            return float(ordered[-1])
+        lo = math.floor(v)
+        t = v - lo
+        a, b = ordered[lo], ordered[lo + 1]
+        d = b - a
+        return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
 
     def _fire_hedge(self, request: Request) -> None:
         state = self._states.get(request.index)

@@ -539,6 +539,9 @@ class LiveCluster(asyncio.DatagramProtocol):
             self.metrics.record(request)
             if self.telemetry is not None:
                 self.telemetry.on_request_complete(request)
+            # Terminal failures release per-selector policy state too
+            # (least-connections charges), in the simulator's order.
+            self.policy.notify_complete(client, request)
             if self.reliability is not None:
                 self.reliability.on_terminal(request)
             self._completed += 1

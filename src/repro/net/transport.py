@@ -97,9 +97,6 @@ class Network:
         """Override the one-way latency model for one message kind."""
         self._latency_by_kind[kind] = model
 
-    def latency_for(self, kind: MessageKind) -> LatencyModel:
-        return self._latency_by_kind.get(kind, self.default_latency)
-
     def send(
         self,
         kind: MessageKind,
@@ -115,15 +112,31 @@ class Network:
         ``extra_delay`` is added on top of the sampled network latency
         (used by the prototype model for load-dependent response delays).
         """
+        sim = self.sim
         size = DEFAULT_SIZES[kind] if size_bytes is None else size_bytes
-        message = Message(kind, src, dst, payload, size, self.sim.now)
-        self.message_counts[kind] = self.message_counts.get(kind, 0) + 1
-        self.byte_counts[kind] = self.byte_counts.get(kind, 0) + size
-        if self.drop_filter is not None and self.drop_filter(message):
+        message = Message(kind, src, dst, payload, size, sim.now)
+        message_counts = self.message_counts
+        message_counts[kind] = message_counts.get(kind, 0) + 1
+        byte_counts = self.byte_counts
+        byte_counts[kind] = byte_counts.get(kind, 0) + size
+        drop_filter = self.drop_filter
+        if drop_filter is not None and drop_filter(message):
             self.dropped_counts[kind] = self.dropped_counts.get(kind, 0) + 1
             self._note_drop()
             return message
+        model = self._latency_by_kind.get(kind, self.default_latency)
         faults = self.faults
+        # Fast path (the simulator hot path): no hook installed, so the
+        # arrival is one plain event. The hooks are read here, per send,
+        # because chaos and telemetry install them after construction.
+        if (
+            faults is None
+            and self.deliver_trace is None
+            and self.inflight_recorder is None
+            and self.switch is None
+        ):
+            sim.after(model.sample(self.rng) + extra_delay, on_delivery, message)
+            return message
         duplicated = False
         if faults is not None:
             verdict = faults.on_send(message)
@@ -133,14 +146,14 @@ class Network:
                 return message
             jitter, duplicated = verdict
             extra_delay += jitter
-        latency = self.latency_for(kind).sample(self.rng) + extra_delay
+        latency = model.sample(self.rng) + extra_delay
         self._schedule_delivery(latency, message, on_delivery)
         if duplicated:
             # The duplicate is an independent delivery: its own latency
             # draw, subject to the same delivery-time fault checks. It
             # does not count as a new send in message_counts (the
             # NetworkFaults.duplicated_counts tally covers it).
-            dup_latency = self.latency_for(kind).sample(self.rng) + extra_delay
+            dup_latency = model.sample(self.rng) + extra_delay
             self._schedule_delivery(dup_latency, message, on_delivery)
         return message
 
@@ -154,21 +167,18 @@ class Network:
     def _schedule_delivery(
         self, latency: float, message: Message, on_delivery: DeliveryCallback
     ) -> None:
-        """Schedule the arrival; keep the allocation-free fast path when
-        no faults/trace/telemetry are installed (this is the simulator
-        hot path)."""
+        """Schedule the arrival when a hook is installed (``send`` takes
+        the hook-free case itself)."""
         recorder = self.inflight_recorder
         if recorder is not None:
             self._inflight += 1
             recorder.record(self.sim.now, float(self._inflight))
         if self.faults is None and self.deliver_trace is None and recorder is None:
-            if self.switch is not None:
-                self.sim.after(
-                    latency,
-                    lambda m=message: self.switch.transit(m, on_delivery),
-                )
-            else:
-                self.sim.after(latency, on_delivery, message)
+            # Only the switch is installed: no delivery gate needed.
+            self.sim.after(
+                latency,
+                lambda m=message: self.switch.transit(m, on_delivery),
+            )
             return
         if self.switch is not None:
             self.sim.after(

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ChaosInjector,
@@ -65,6 +67,40 @@ def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3, **kwargs):
 def test_policy_validation(kwargs):
     with pytest.raises(ValueError):
         ReliabilityPolicy(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("deadline", math.nan),
+        ("backoff_base", math.nan),
+        ("backoff_mult", math.nan),
+        ("backoff_cap", math.nan),
+        ("backoff_jitter", math.nan),
+        ("retry_budget", math.nan),
+        ("retry_budget_refill", math.nan),
+        ("hedge_quantile", math.nan),
+        ("breaker_cooldown", math.nan),
+        ("hedge_window", 512.0),
+        ("hedge_window", 600.5),
+        ("hedge_window", True),
+        ("hedge_min_samples", 32.0),
+        ("hedge_min_samples", "32"),
+        ("breaker_threshold", 2.5),
+        ("breaker_threshold", math.nan),
+    ],
+)
+def test_policy_rejects_hostile_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ReliabilityPolicy(**{field: value})
+
+
+def test_policy_accepts_numpy_integers():
+    policy = ReliabilityPolicy(
+        hedge_window=np.int64(64), hedge_min_samples=np.int32(8),
+        breaker_threshold=np.int64(3),
+    )
+    assert policy.hedge_window == 64
 
 
 def test_default_policy_disables_everything():
@@ -435,3 +471,51 @@ def test_reliability_counters_surface_in_resilience_counters():
     ):
         assert key in counters
     assert counters["hedges_launched"] == float(cluster.reliability.hedges_launched)
+
+
+# ----------------------------------------------------------------------
+# hedge delay: the sorted window equals numpy's quantile exactly
+# ----------------------------------------------------------------------
+
+#: a few fixed values, drawn often, so windows hold many ties
+_TIES = (0.001, 0.0025, 0.0025, 0.01, 0.5)
+
+
+@st.composite
+def _hedge_cases(draw):
+    window = draw(st.integers(1, 40))
+    # Equal window and minimum is a boundary of its own: draw it often.
+    min_samples = draw(st.one_of(st.just(window), st.integers(1, window)))
+    quantile = draw(st.floats(0.01, 0.99))
+    value = st.one_of(
+        st.sampled_from(_TIES),
+        st.floats(1e-6, 5.0),
+        st.sampled_from((math.inf, math.nan)),  # skipped by _observe
+    )
+    stream = draw(st.lists(value, min_size=window + 1, max_size=3 * window + 10))
+    return window, min_samples, quantile, stream
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hedge_cases())
+def test_hedge_delay_equals_numpy_quantile_exactly(case):
+    window, min_samples, quantile, stream = case
+    cluster = ServiceCluster(
+        n_servers=2, policy=RandomPolicy(), seed=0,
+        reliability=ReliabilityPolicy(
+            hedge_quantile=quantile, hedge_min_samples=min_samples,
+            hedge_window=window,
+        ),
+    )
+    engine = cluster.reliability
+    seen = []
+    assert engine._hedge_delay() is None
+    for value in stream:
+        engine._observe(value)
+        if math.isfinite(value):
+            seen.append(value)
+        last = seen[-window:]
+        if len(last) < min_samples:
+            assert engine._hedge_delay() is None
+        else:
+            assert engine._hedge_delay() == float(np.quantile(last, quantile))

@@ -35,7 +35,7 @@ class CountingMetrics(ClusterMetrics):
 
 
 async def _loopback(n_servers, clock_holder, server_kwargs=None, cluster_kwargs=None,
-                    n_requests=8, gap=0.005, service=0.001):
+                    n_requests=8, gap=0.005, service=0.001, policy="random"):
     """Start servers + cluster, return (servers, cluster, transports)."""
     loop = asyncio.get_running_loop()
     clock = WallClock(loop)
@@ -50,7 +50,7 @@ async def _loopback(n_servers, clock_holder, server_kwargs=None, cluster_kwargs=
         transports.append(transport)
     cluster = LiveCluster(
         {s.node_id: s.address for s in servers},
-        make_policy("random"),
+        make_policy(policy),
         clock,
         n_clients=2,
         **(cluster_kwargs or {}),
@@ -159,6 +159,38 @@ def test_crash_mid_run_retries_to_survivor_exactly_once():
             # guard, not the server, is what keeps recording exactly-once).
             served = servers[0].completed_count + servers[1].completed_count
             assert served >= int(summary["n_measured"])
+        finally:
+            for server in servers:
+                server.close()
+            for transport in transports:
+                transport.close()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
+def test_terminal_failures_release_least_connections_charges():
+    """Every server NACKs every attempt, so each request fails
+    terminally after its retries. As in the simulator, a terminal
+    failure releases the policy's charge: the least-connections ledger
+    must end empty, with every per-client count back at zero."""
+
+    async def scenario():
+        clocks = []
+        servers, cluster, transports = await _loopback(
+            2, clocks,
+            server_kwargs={"max_queue": 0},
+            cluster_kwargs={"request_timeout": 2.0, "max_retries": 2},
+            n_requests=6, policy="least_connections",
+        )
+        try:
+            metrics = await asyncio.wait_for(cluster.run(), timeout=20)
+            assert metrics.summary(0.0)["n_failed"] == 6
+            assert sum(s.rejected_count for s in servers) == 6 * 3
+            policy = cluster.policy
+            assert policy._charges == {}
+            for client in cluster.clients:
+                assert not client.state["least_connections.counts"].any()
+            assert policy.verify_scan() is None
         finally:
             for server in servers:
                 server.close()
